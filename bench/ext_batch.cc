@@ -1,16 +1,14 @@
 // Extension experiment: vertex-grouped batch execution. The paper's
 // applications (similarity, top-k, projection) are one-vs-many workloads:
 // one source vertex against hundreds of candidates. This bench measures
-// the three ways the repo can execute such a workload:
+// the two ways the repo can execute such a workload:
 //
-//   per_pair            PR 3's apps path — one full protocol execution per
-//                       candidate (fresh randomized response from both
-//                       vertices every time);
-//   service_unplanned   QueryService with the planner disabled — shared
-//                       noisy views, but per-query post-processing;
-//   service_planned     QueryService with the WorkloadPlanner — shared
-//                       views plus per-source grouped execution through
-//                       BatchIntersectionSize.
+//   per_pair            the per-pair estimator path — one full protocol
+//                       execution per candidate (fresh randomized response
+//                       from both vertices every time);
+//   service_planned     QueryService, whose WorkloadPlanner executes every
+//                       submission — shared views plus per-source grouped
+//                       execution through BatchIntersectionSize.
 //
 // Section `one_vs_many` runs a 1×N shared-source workload on the
 // committed sample graph at ε = 1 (N ≥ 256 distinct candidates, repeated
@@ -18,9 +16,9 @@
 // `grouped_sweep` runs hot-set workloads across datasets. Output is JSON
 // on stdout (progress on stderr) for the BENCH_* perf trajectory.
 //
-// Built-in self-check: planned and unplanned answers must be bitwise
-// identical (including at 2 threads); any mismatch exits non-zero, so CI
-// runs double as a correctness gate.
+// Built-in self-check: every service workload is answered at 1 and at 2
+// threads, and the answers must be bitwise identical; any mismatch exits
+// non-zero, so CI runs double as a correctness gate.
 //
 // Extra flags on top of the shared bench set:
 //   --candidates=256   candidates N of the 1×N section
@@ -147,8 +145,8 @@ int main(int argc, char** argv) {
       service_options.seed = options.seed;
       service_options.num_threads = 1;
 
-      // PR 3's per-query path: one full OneR protocol per candidate, per
-      // repetition — every query pays two fresh ε-RR releases.
+      // The per-pair estimator path: one full OneR protocol per candidate,
+      // per repetition — every query pays two fresh ε-RR releases.
       OneREstimator oner;
       Rng per_pair_rng(options.seed + 1);
       double checksum = 0.0;
@@ -160,25 +158,18 @@ int main(int argc, char** argv) {
       }
       const double per_pair_seconds = per_pair_timer.Seconds();
 
-      ServiceOptions unplanned = service_options;
-      unplanned.enable_planner = false;
-      const ServiceRun run_unplanned =
-          RunService(g, unplanned, workload, repeats);
-
-      ServiceOptions planned = service_options;
-      planned.enable_planner = true;
       const ServiceRun run_planned =
-          RunService(g, planned, workload, repeats);
+          RunService(g, service_options, workload, repeats);
 
-      // Self-check: planned ≡ unplanned, also at 2 threads.
-      ServiceOptions planned2 = planned;
-      planned2.num_threads = 2;
-      const ServiceRun run_planned2 = RunService(g, planned2, workload, 1);
-      if (!AnswersIdentical(run_planned.answers, run_unplanned.answers) ||
-          !AnswersIdentical(run_planned2.answers, run_unplanned.answers)) {
+      // Self-check: the 2-thread answers equal the 1-thread ones. OneR
+      // draws no per-query noise, so one submission suffices.
+      ServiceOptions two_threads = service_options;
+      two_threads.num_threads = 2;
+      const ServiceRun run_planned2 = RunService(g, two_threads, workload, 1);
+      if (!AnswersIdentical(run_planned.answers, run_planned2.answers)) {
         std::fprintf(stderr,
-                     "SELF-CHECK FAILED: planned answers differ from the "
-                     "per-query path\n");
+                     "SELF-CHECK FAILED: one_vs_many answers differ between "
+                     "1 and 2 threads\n");
         identity_ok = false;
       }
 
@@ -187,17 +178,11 @@ int main(int argc, char** argv) {
       const double speedup_vs_per_pair =
           run_planned.seconds > 0.0 ? per_pair_seconds / run_planned.seconds
                                     : 0.0;
-      const double speedup_vs_unplanned =
-          run_planned.seconds > 0.0
-              ? run_unplanned.seconds / run_planned.seconds
-              : 0.0;
       std::fprintf(stderr,
-                   "one_vs_many N=%zu x%zu: per_pair %.3fs, unplanned "
-                   "%.3fs, planned %.3fs (%.1fx vs per_pair, %.2fx vs "
-                   "unplanned, checksum %.1f)\n",
+                   "one_vs_many N=%zu x%zu: per_pair %.3fs, planned %.3fs "
+                   "(%.1fx vs per_pair, checksum %.1f)\n",
                    workload.size(), repeats, per_pair_seconds,
-                   run_unplanned.seconds, run_planned.seconds,
-                   speedup_vs_per_pair, speedup_vs_unplanned, checksum);
+                   run_planned.seconds, speedup_vs_per_pair, checksum);
 
       json << "{\n"
            << "    \"epsilon\": " << epsilon << ",\n"
@@ -206,8 +191,6 @@ int main(int argc, char** argv) {
            << "    \"repeats\": " << repeats << ",\n"
            << "    \"total_queries\": " << total_queries << ",\n"
            << "    \"per_pair_seconds\": " << per_pair_seconds << ",\n"
-           << "    \"unplanned_seconds\": " << run_unplanned.seconds
-           << ",\n"
            << "    \"planned_seconds\": " << run_planned.seconds << ",\n"
            << "    \"planned_qps\": "
            << (run_planned.seconds > 0.0 ? total_queries / run_planned.seconds
@@ -217,8 +200,6 @@ int main(int argc, char** argv) {
            << ",\n"
            << "    \"meets_3x_vs_per_pair\": "
            << (speedup_vs_per_pair >= 3.0 ? "true" : "false") << ",\n"
-           << "    \"speedup_vs_unplanned\": " << speedup_vs_unplanned
-           << ",\n"
            << "    \"groups_formed\": " << run_planned.last.groups_formed
            << ",\n"
            << "    \"avg_group_size\": " << run_planned.last.avg_group_size
@@ -252,15 +233,14 @@ int main(int argc, char** argv) {
       base.seed = options.seed;
       base.num_threads = 1;
 
-      ServiceOptions unplanned = base;
-      unplanned.enable_planner = false;
-      const ServiceRun off = RunService(g, unplanned, workload, 1);
-      ServiceOptions planned = base;
-      planned.enable_planner = true;
-      const ServiceRun on = RunService(g, planned, workload, 1);
-      if (!AnswersIdentical(on.answers, off.answers)) {
+      const ServiceRun on = RunService(g, base, workload, 1);
+      ServiceOptions two_threads = base;
+      two_threads.num_threads = 2;
+      const ServiceRun on2 = RunService(g, two_threads, workload, 1);
+      if (!AnswersIdentical(on.answers, on2.answers)) {
         std::fprintf(stderr,
-                     "SELF-CHECK FAILED: %s %s planned != unplanned\n",
+                     "SELF-CHECK FAILED: %s %s answers differ between 1 and "
+                     "2 threads\n",
                      spec.code.c_str(), ToString(algorithm));
         identity_ok = false;
       }
@@ -275,15 +255,11 @@ int main(int argc, char** argv) {
            << ", \"groups_formed\": " << on.last.groups_formed
            << ", \"avg_group_size\": " << on.last.avg_group_size
            << ", \"planner_seconds\": " << on.last.planner_seconds
-           << ", \"unplanned_seconds\": " << off.seconds
            << ", \"planned_seconds\": " << on.seconds
-           << ", \"speedup\": "
-           << (on.seconds > 0.0 ? off.seconds / on.seconds : 0.0)
            << ",\n     \"phases\": "
            << bench::PhasesJson(on.last.metrics, "     ") << "}";
-      std::fprintf(stderr, "%s %s: unplanned %.3fs, planned %.3fs\n",
-                   spec.code.c_str(), ToString(algorithm), off.seconds,
-                   on.seconds);
+      std::fprintf(stderr, "%s %s: planned %.3fs\n", spec.code.c_str(),
+                   ToString(algorithm), on.seconds);
     }
   }
   json << "\n  ],\n";
@@ -324,15 +300,14 @@ int main(int argc, char** argv) {
     base.seed = options.seed;
     base.num_threads = 1;
 
-    ServiceOptions unplanned = base;
-    unplanned.enable_planner = false;
-    const ServiceRun off = RunService(g, unplanned, workload, scale_repeats);
-    ServiceOptions planned = base;
-    planned.enable_planner = true;
-    const ServiceRun on = RunService(g, planned, workload, scale_repeats);
-    if (!AnswersIdentical(on.answers, off.answers)) {
-      std::fprintf(stderr, "SELF-CHECK FAILED: scale %llu planned != "
-                           "unplanned\n",
+    const ServiceRun on = RunService(g, base, workload, scale_repeats);
+    ServiceOptions two_threads = base;
+    two_threads.num_threads = 2;
+    const ServiceRun on2 = RunService(g, two_threads, workload, 1);
+    if (!AnswersIdentical(on.answers, on2.answers)) {
+      std::fprintf(stderr,
+                   "SELF-CHECK FAILED: scale %llu answers differ between 1 "
+                   "and 2 threads\n",
                    static_cast<unsigned long long>(target));
       identity_ok = false;
     }
@@ -342,10 +317,9 @@ int main(int argc, char** argv) {
     const double planned_qps =
         on.seconds > 0.0 ? total_queries / on.seconds : 0.0;
     std::fprintf(stderr,
-                 "scale %llu 1x%zu x%zu: unplanned %.3fs, planned %.3fs "
-                 "(%.0f qps)\n",
+                 "scale %llu 1x%zu x%zu: planned %.3fs (%.0f qps)\n",
                  static_cast<unsigned long long>(target), workload.size(),
-                 scale_repeats, off.seconds, on.seconds, planned_qps);
+                 scale_repeats, on.seconds, planned_qps);
 
     if (!first_scale) json << ",";
     first_scale = false;
@@ -354,10 +328,7 @@ int main(int argc, char** argv) {
          << ", \"candidates\": " << workload.size()
          << ", \"repeats\": " << scale_repeats << ", \"simd_level\": \""
          << SimdLevelName(ActiveSimdLevel())
-         << "\", \"unplanned_seconds\": " << off.seconds
-         << ", \"planned_seconds\": " << on.seconds
-         << ", \"speedup_vs_unplanned\": "
-         << (on.seconds > 0.0 ? off.seconds / on.seconds : 0.0)
+         << "\", \"planned_seconds\": " << on.seconds
          << ", \"groups_formed\": " << on.last.groups_formed
          << ",\n     \"phases\": "
          << bench::PhasesJson(on.last.metrics, "     ")

@@ -10,7 +10,7 @@
 // Every timed configuration self-checks each kernel's count against the
 // scalar merge on the same inputs; any disagreement makes the process
 // exit non-zero, so the CI bench run doubles as a correctness gate. Each
-// cell also records how far the calibrated dispatcher landed from the
+// cell also records how far the dispatcher's fixed rule landed from the
 // best kernel applicable to the auto-storage representations
 // (`auto_gap`; 1.0 = picked the best).
 //
@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -245,8 +244,6 @@ bool CheckPair(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
     } checks[] = {
         {"bitmap_and", IntersectBitmapAnd(ba, bb), want_and},
         {"bitmap_and_swapped", IntersectBitmapAnd(bb, ba), want_and},
-        {"bitmap_probe", IntersectBitmapProbe(ba, bb), want_and},
-        {"bitmap_probe_swapped", IntersectBitmapProbe(bb, ba), want_and},
         {"probe_bitmap", IntersectProbeBitmap(a, bb), want_and},
         {"galloping", IntersectGalloping(a, b), want_and},
         {"union_bitmap_or", UnionBitmapOr(ba, bb), want_or},
@@ -258,6 +255,8 @@ bool CheckPair(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
         {"dispatch_mixed",
          IntersectionSize(SetView::Sorted(a), SetView::Bitmap(bb, b.size())),
          want_and},
+        {"dispatch_sorted",
+         IntersectionSize(SetView::Sorted(a), SetView::Sorted(b)), want_and},
     };
     for (const auto& c : checks) {
       if (c.got != c.want) {
@@ -327,8 +326,7 @@ int RunSelfCheckMode(uint64_t seed) {
     for (SimdLevel level : levels) {
       ForceSimdLevel(level);
       if (IntersectBitmapAnd(ba, bb) != want ||
-          IntersectBitmapProbe(ba, bb) != want ||
-          IntersectBitmapProbe(bb, ba) != want ||
+          IntersectBitmapAnd(bb, ba) != want ||
           IntersectProbeBitmap(a, bb) != want) {
         std::fprintf(stderr, "SELF-CHECK FAILED: fuzz round %d at %s\n",
                      round, SimdLevelName(level));
@@ -394,11 +392,15 @@ int main(int argc, char** argv) {
        << "  \"grid\": [\n";
 
   // Density × skew sweep. density_b / density_a is the size skew; the
-  // 0.27-ish densities are the ε = 1 noisy-row regime.
+  // 0.27-ish densities are the ε = 1 noisy-row regime. The last two cells
+  // keep both sides below kBitmapDensityThreshold, so they are sorted ×
+  // sorted pairs on either side of the merge/galloping crossover
+  // (kGallopRatio = 3): skew 2 merges, skew 16 gallops.
   const std::vector<std::pair<double, double>> grid = {
-      {0.001, 0.001}, {0.01, 0.01},  {0.1, 0.1},   {0.27, 0.27},
-      {0.5, 0.5},     {0.001, 0.27}, {0.001, 0.5}, {0.01, 0.27},
-      {0.0001, 0.27}, {0.1, 0.27},
+      {0.001, 0.001},   {0.01, 0.01},     {0.1, 0.1},   {0.27, 0.27},
+      {0.5, 0.5},       {0.001, 0.27},    {0.001, 0.5}, {0.01, 0.27},
+      {0.0001, 0.27},   {0.1, 0.27},      {0.001, 0.002},
+      {0.0004, 0.0064},
   };
 
   bool first = true;
@@ -435,9 +437,6 @@ int main(int argc, char** argv) {
         results.back().simd_level = SimdLevelName(level);
       }
       ForceSimdLevel(detected);
-      results.push_back(TimeKernel("bitmap_probe", reps, [&] {
-        return IntersectBitmapProbe(ba, bb);
-      }));
       results.push_back(TimeKernel("probe_bitmap", reps, [&] {
         return IntersectProbeBitmap(a, bb);
       }));
@@ -458,9 +457,8 @@ int main(int argc, char** argv) {
       for (const KernelResult& r : results) {
         bool applicable = false;
         if (auto_a.IsBitmap() && auto_b.IsBitmap()) {
-          applicable = (r.kernel == "bitmap_and" &&
-                        r.simd_level == SimdLevelName(detected)) ||
-                       r.kernel == "bitmap_probe";
+          applicable = r.kernel == "bitmap_and" &&
+                       r.simd_level == SimdLevelName(detected);
         } else if (auto_a.IsBitmap() || auto_b.IsBitmap()) {
           applicable = r.kernel == "probe_bitmap";
         } else {
@@ -471,30 +469,30 @@ int main(int argc, char** argv) {
           best_row = &r;
         }
       }
-      // ... then re-timed interleaved with dispatch_auto, so the gap
-      // ratio compares two loops that saw the same noise environment
-      // rather than loops minutes apart in the cell's schedule.
-      const auto call_for = [&](const std::string& kernel)
-          -> std::function<uint64_t()> {
-        if (kernel == "scalar_merge") {
-          return [&] { return IntersectScalarMerge(a, b); };
-        }
-        if (kernel == "galloping") {
-          return [&] { return IntersectGalloping(a, b); };
-        }
-        if (kernel == "bitmap_and") {
-          return [&] { return IntersectBitmapAnd(ba, bb); };
-        }
-        if (kernel == "bitmap_probe") {
-          return [&] { return IntersectBitmapProbe(ba, bb); };
-        }
-        return [&] { return IntersectProbeBitmap(a, bb); };
-      };
-      const InterleavedResult paired = TimeInterleaved(
-          [&] { return IntersectionSize(auto_a, auto_b); },
-          call_for(best_row->kernel));
-      const double best_applicable = paired.b_ns;
-      const double auto_gap = paired.ratio;
+      // ... then, when it is not the kernel the dispatcher runs, re-timed
+      // interleaved with dispatch_auto, so the gap ratio compares two
+      // loops that saw the same noise environment rather than loops
+      // minutes apart in the cell's schedule. Only a sorted pair has two
+      // applicable kernels, so only the merge/galloping choice can miss.
+      // When the dispatcher runs the fastest kernel the gap is 1 by
+      // definition: timing one kernel against itself measures call-site
+      // noise, not the pick, and showed 1.10–1.26 excursions on a shared
+      // host.
+      double best_applicable = best_row->ns_per_op;
+      double auto_gap = 1.0;
+      if (best_row->kernel != DispatchedKernelName(auto_a, auto_b)) {
+        const auto dispatched = [&] {
+          return IntersectionSize(auto_a, auto_b);
+        };
+        const InterleavedResult paired =
+            best_row->kernel == "galloping"
+                ? TimeInterleaved(dispatched,
+                                  [&] { return IntersectGalloping(a, b); })
+                : TimeInterleaved(dispatched,
+                                  [&] { return IntersectScalarMerge(a, b); });
+        best_applicable = paired.b_ns;
+        auto_gap = paired.ratio;
+      }
       if (best_applicable >= kGapFloorNs && auto_gap > worst_gap) {
         worst_gap = auto_gap;
       }

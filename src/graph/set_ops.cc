@@ -4,7 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "graph/set_ops_cost.h"
 #include "graph/set_ops_kernels.h"
 #include "util/logging.h"
 
@@ -64,76 +63,31 @@ const WordKernels& WordKernelsFor(SimdLevel level) {
 
 }  // namespace simd
 
-// ---- calibrated cost model ----
-
-namespace {
-#include "graph/set_ops_calibration.inc"
-}  // namespace
-
-const KernelCostTable& CostTableFor(SimdLevel level) {
-  return kDefaultCostTables[static_cast<int>(level)];
-}
-
-double PredictKernelNs(SetKernel kernel, uint64_t work,
-                       const KernelCostTable& table) {
-  const double per_unit =
-      table.ns_per_unit[static_cast<int>(kernel)][WorkBucket(work)];
-  return per_unit * static_cast<double>(work);
-}
-
-const char* SetKernelName(SetKernel kernel) {
-  switch (kernel) {
-    case SetKernel::kScalarMerge:
-      return "scalar_merge";
-    case SetKernel::kGalloping:
-      return "galloping";
-    case SetKernel::kBitmapAnd:
-      return "bitmap_and";
-    case SetKernel::kProbeBitmap:
-      return "probe_bitmap";
-    case SetKernel::kBitmapProbe:
-      return "bitmap_probe";
-  }
-  return "unknown";
-}
-
 namespace {
 
-// The chooser shared by IntersectionSize and DispatchedKernelName: the
-// operand representations fix the applicable kernels, the calibrated
-// table prices them, argmin wins. Falls back to the pre-calibration
-// kGallopRatio rule if a table entry is unusable (<= 0).
-SetKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
-  if (a.IsBitmap() && b.IsBitmap()) {
-    const size_t words_a = a.bitmap().Words().size();
-    const size_t words_b = b.bitmap().Words().size();
-    const KernelCostTable& table = ActiveCostTable();
-    const uint64_t and_work = BitmapAndWork(words_a, words_b);
-    // The skip-zero probe walks the lower-popcount operand's words.
-    const bool a_sparse = a.Size() <= b.Size();
-    const uint64_t probe_work = BitmapProbeWork(
-        a_sparse ? words_a : words_b, a_sparse ? a.Size() : b.Size());
-    const double and_ns = PredictKernelNs(SetKernel::kBitmapAnd, and_work,
-                                          table);
-    const double probe_ns = PredictKernelNs(SetKernel::kBitmapProbe,
-                                            probe_work, table);
-    if (and_ns <= 0 || probe_ns <= 0) return SetKernel::kBitmapAnd;
-    return probe_ns < and_ns ? SetKernel::kBitmapProbe : SetKernel::kBitmapAnd;
-  }
-  if (a.IsBitmap() || b.IsBitmap()) return SetKernel::kProbeBitmap;
-  const uint64_t small = std::min(a.Size(), b.Size());
-  const uint64_t large = std::max(a.Size(), b.Size());
-  const KernelCostTable& table = ActiveCostTable();
-  const double merge_ns = PredictKernelNs(SetKernel::kScalarMerge,
-                                          MergeWork(small, large), table);
-  const double gallop_ns = PredictKernelNs(SetKernel::kGalloping,
-                                           GallopWork(small, large), table);
-  if (merge_ns <= 0 || gallop_ns <= 0) {
-    return large / (small + 1) >= kGallopRatio ? SetKernel::kGalloping
-                                               : SetKernel::kScalarMerge;
-  }
-  return gallop_ns < merge_ns ? SetKernel::kGalloping
-                              : SetKernel::kScalarMerge;
+enum class IntersectKernel {
+  kScalarMerge,
+  kGalloping,
+  kBitmapAnd,
+  kProbeBitmap,
+};
+
+// Sorted × sorted: galloping pays once the larger operand is kGallopRatio
+// times the smaller (plus one, so an empty side never divides by zero).
+bool GallopPays(uint64_t size_a, uint64_t size_b) {
+  const uint64_t small = std::min(size_a, size_b);
+  const uint64_t large = std::max(size_a, size_b);
+  return large / (small + 1) >= kGallopRatio;
+}
+
+// The fixed rule shared by IntersectionSize and DispatchedKernelName: the
+// operand representations pick the kernel, and only a sorted pair
+// consults its size ratio.
+IntersectKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
+  if (a.IsBitmap() && b.IsBitmap()) return IntersectKernel::kBitmapAnd;
+  if (a.IsBitmap() || b.IsBitmap()) return IntersectKernel::kProbeBitmap;
+  return GallopPays(a.Size(), b.Size()) ? IntersectKernel::kGalloping
+                                        : IntersectKernel::kScalarMerge;
 }
 
 inline void PrefetchLine(const void* p) {
@@ -257,23 +211,6 @@ uint64_t IntersectBitmapAnd(const DenseBitset& a, const DenseBitset& b) {
   return simd::ActiveWordKernels().and_popcount(wa.data(), wb.data(), n);
 }
 
-uint64_t IntersectBitmapProbe(const DenseBitset& sparse,
-                              const DenseBitset& dense) {
-  const std::span<const uint64_t> ws = sparse.Words();
-  const std::span<const uint64_t> wd = dense.Words();
-  const size_t n = std::min(ws.size(), wd.size());
-  uint64_t count = 0;
-  // Deliberately scalar: the win over the vector AND is skipping the
-  // dense-side load on every zero word of the sparse side, which a
-  // branchless vector sweep cannot do.
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = ws[i];
-    if (w == 0) continue;
-    count += static_cast<uint64_t>(std::popcount(w & wd[i]));
-  }
-  return count;
-}
-
 uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
                               const DenseBitset& bits) {
   uint64_t count = 0;
@@ -285,18 +222,14 @@ uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
 
 uint64_t IntersectionSize(const SetView& a, const SetView& b) {
   switch (ChooseIntersectKernel(a, b)) {
-    case SetKernel::kBitmapAnd:
+    case IntersectKernel::kBitmapAnd:
       return IntersectBitmapAnd(a.bitmap(), b.bitmap());
-    case SetKernel::kBitmapProbe:
-      return a.Size() <= b.Size()
-                 ? IntersectBitmapProbe(a.bitmap(), b.bitmap())
-                 : IntersectBitmapProbe(b.bitmap(), a.bitmap());
-    case SetKernel::kProbeBitmap:
+    case IntersectKernel::kProbeBitmap:
       return a.IsBitmap() ? IntersectProbeBitmap(b.sorted(), a.bitmap())
                           : IntersectProbeBitmap(a.sorted(), b.bitmap());
-    case SetKernel::kGalloping:
+    case IntersectKernel::kGalloping:
       return IntersectGalloping(a.sorted(), b.sorted());
-    case SetKernel::kScalarMerge:
+    case IntersectKernel::kScalarMerge:
       break;
   }
   return IntersectScalarMerge(a.sorted(), b.sorted());
@@ -315,9 +248,7 @@ void BatchIntersectionSize(const SetView& base,
         PrefetchSetView(candidates[i + kBatchPrefetchDistance]);
       }
       const SetView& c = candidates[i];
-      // Bitmap × bitmap goes through the calibrated chooser (bitmap_and
-      // vs the skip-zero probe); sorted candidates always probe.
-      out[i] = c.IsBitmap() ? IntersectionSize(base, c)
+      out[i] = c.IsBitmap() ? IntersectBitmapAnd(bits, c.bitmap())
                             : IntersectProbeBitmap(c.sorted(), bits);
     }
     return;
@@ -340,7 +271,17 @@ void BatchIntersectionSize(const SetView& base,
 }
 
 const char* DispatchedKernelName(const SetView& a, const SetView& b) {
-  return SetKernelName(ChooseIntersectKernel(a, b));
+  switch (ChooseIntersectKernel(a, b)) {
+    case IntersectKernel::kBitmapAnd:
+      return "bitmap_and";
+    case IntersectKernel::kProbeBitmap:
+      return "probe_bitmap";
+    case IntersectKernel::kGalloping:
+      return "galloping";
+    case IntersectKernel::kScalarMerge:
+      break;
+  }
+  return "scalar_merge";
 }
 
 uint64_t UnionScalarMerge(std::span<const VertexId> a,
@@ -378,9 +319,7 @@ uint64_t UnionSize(const SetView& a, const SetView& b) {
   if (a.IsBitmap() || b.IsBitmap()) {
     return a.Size() + b.Size() - IntersectionSize(a, b);
   }
-  const uint64_t small = std::min(a.Size(), b.Size());
-  const uint64_t large = std::max(a.Size(), b.Size());
-  if (large / (small + 1) >= kGallopRatio) {
+  if (GallopPays(a.Size(), b.Size())) {
     // Skewed sorted × sorted: inclusion–exclusion over the galloping
     // intersection beats merging the large operand element by element.
     return a.Size() + b.Size() - IntersectGalloping(a.sorted(), b.sorted());
@@ -391,10 +330,8 @@ uint64_t UnionSize(const SetView& a, const SetView& b) {
 const char* DispatchedUnionKernelName(const SetView& a, const SetView& b) {
   if (a.IsBitmap() && b.IsBitmap()) return "bitmap_or";
   if (a.IsBitmap() || b.IsBitmap()) return "probe_complement";
-  const uint64_t small = std::min(a.Size(), b.Size());
-  const uint64_t large = std::max(a.Size(), b.Size());
-  return large / (small + 1) >= kGallopRatio ? "gallop_complement"
-                                             : "scalar_merge";
+  return GallopPays(a.Size(), b.Size()) ? "gallop_complement"
+                                        : "scalar_merge";
 }
 
 }  // namespace cne

@@ -5,19 +5,19 @@
 // *dense*: the expected noisy degree is d(1-p) + (n-d)p, so at ε = 1
 // (p ≈ 0.269) a noisy row covers ~27% of the opposite layer. One scalar
 // sorted merge cannot serve that whole density range well, so this module
-// provides two set representations and five kernels, plus a dispatcher
-// that picks the kernel from the operand representations and a
-// *calibrated* per-kernel cost model (set_ops_cost.h):
+// provides two set representations and four kernels, plus a dispatcher
+// that picks the kernel by a fixed rule over the operand representations
+// and, for sorted pairs, their size ratio:
 //
-//   representation      kernel                    regime
+//   representation      kernel                    rule
 //   ------------------  ------------------------  --------------------------
-//   sorted × sorted     IntersectScalarMerge      comparable sizes
-//   sorted × sorted     IntersectGalloping        skewed sizes
-//   bitmap × bitmap     IntersectBitmapAnd        dense × dense (word AND +
+//   sorted × sorted     IntersectScalarMerge      large/(small+1) below
+//                                                 kGallopRatio
+//   sorted × sorted     IntersectGalloping        large/(small+1) at or
+//                                                 above kGallopRatio
+//   bitmap × bitmap     IntersectBitmapAnd        always (word AND +
 //                                                 popcount; SIMD below)
-//   bitmap × bitmap     IntersectBitmapProbe      sparse × dense bitmaps
-//                                                 (skip-zero word AND)
-//   sorted × bitmap     IntersectProbeBitmap      sparse × dense (O(1) probes)
+//   sorted × bitmap     IntersectProbeBitmap      always (O(1) probes)
 //
 // The word kernels (AND/OR + popcount, DenseBitset::Count) dispatch at
 // runtime onto per-ISA implementations — portable scalar, AVX2
@@ -163,11 +163,11 @@ class SetView {
   uint64_t size_ = 0;
 };
 
-/// Sorted × sorted size ratio beyond which the *union* dispatcher (and the
-/// cost-model fallback, when a calibration entry is absent) switches from
-/// the scalar merge to galloping search. The intersection dispatcher
-/// itself prices merge vs galloping from the calibrated table.
-inline constexpr uint64_t kGallopRatio = 32;
+/// Sorted × sorted size ratio large/(small+1) at and above which both
+/// dispatchers switch from the scalar merge to galloping search: the
+/// measured merge/galloping crossover (docs/ARCHITECTURE.md, "Runtime ISA
+/// dispatch and the fixed kernel rule").
+inline constexpr uint64_t kGallopRatio = 3;
 
 /// Scalar two-pointer merge over two sorted unique id ranges. The baseline
 /// every other kernel must agree with.
@@ -186,22 +186,14 @@ uint64_t IntersectGalloping(std::span<const VertexId> a,
 /// domains; bits beyond the shorter domain cannot intersect.
 uint64_t IntersectBitmapAnd(const DenseBitset& a, const DenseBitset& b);
 
-/// Sparse × dense bitmap kernel: walk `sparse`'s words, skip zero words,
-/// AND+popcount the rest against `dense`. Loads only half the data of
-/// IntersectBitmapAnd when `sparse` is mostly zero words; same count.
-uint64_t IntersectBitmapProbe(const DenseBitset& sparse,
-                              const DenseBitset& dense);
-
 /// Sparse × dense kernel: probe each sorted id into the bitmap, O(1) per
 /// probe. Ids at or beyond the bitmap's domain count as absent.
 uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
                               const DenseBitset& bits);
 
-/// Adaptive dispatcher. Representations fix the candidate set (bitmap ×
-/// bitmap → {word AND, skip-zero probe}, sorted × bitmap → probe, sorted ×
-/// sorted → {merge, galloping}); within it, the calibrated cost model
-/// (set_ops_cost.h) predicts each kernel's ns from the operand sizes and
-/// the active SIMD level and runs the argmin. Always equals
+/// Adaptive dispatcher: bitmap × bitmap → word AND, sorted × bitmap →
+/// probe, sorted × sorted → galloping when large/(small+1) ≥
+/// kGallopRatio, scalar merge otherwise. Always equals
 /// IntersectScalarMerge on the equivalent sorted inputs.
 uint64_t IntersectionSize(const SetView& a, const SetView& b);
 
@@ -242,9 +234,10 @@ uint64_t UnionBitmapOr(const DenseBitset& a, const DenseBitset& b);
 
 /// Adaptive union dispatcher: bitmap × bitmap → word OR + popcount; any
 /// mixed pair → |a| + |b| − |a ∩ b| through the intersection dispatcher
-/// (probe / galloping, inclusion–exclusion is exact on unique sets);
-/// sorted × sorted of comparable sizes → scalar merge. Always equals
-/// UnionScalarMerge on the equivalent sorted inputs.
+/// (probe, inclusion–exclusion is exact on unique sets); sorted × sorted
+/// → IntersectionSize's galloping/merge rule, galloping through
+/// inclusion–exclusion. Always equals UnionScalarMerge on the equivalent
+/// sorted inputs.
 uint64_t UnionSize(const SetView& a, const SetView& b);
 
 /// Name of the kernel UnionSize would run for (a, b); for parity tests and

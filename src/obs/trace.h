@@ -118,30 +118,6 @@ class TraceSpan {
 
 #endif  // CNE_OBS_ENABLED
 
-/// Deterministic 1-in-N sampler for per-item spans on paths too hot to
-/// time every iteration. Not thread-safe; keep one per worker scope.
-class SampledRecorder {
- public:
-  /// `shift`: sample every 2^shift-th call (default 1 in 8).
-  explicit SampledRecorder(LatencyHistogram* histogram, unsigned shift = 3)
-      : histogram_(histogram), mask_((1u << shift) - 1) {}
-
-  /// True when this iteration should be timed. Always false when disabled.
-  bool ShouldSample() {
-    if (histogram_ == nullptr) return false;
-    return (ticks_++ & mask_) == 0;
-  }
-
-  void Record(uint64_t nanos) {
-    if (histogram_ != nullptr) histogram_->Record(nanos);
-  }
-
- private:
-  LatencyHistogram* histogram_;
-  uint32_t mask_;
-  uint32_t ticks_ = 0;
-};
-
 }  // namespace cne::obs
 
 #endif  // CNE_OBS_TRACE_H_

@@ -28,10 +28,6 @@ namespace {
 // admission never commits a charge the ledger would refuse.
 constexpr double kBudgetTolerance = 1e-9;
 
-// Planner threshold: a submission below this size cannot amortize plan
-// construction, so it takes the per-query path unchanged.
-constexpr size_t kMinQueriesToPlan = 2;
-
 WalRecord MakeCharge(LayeredVertex vertex, double epsilon) {
   WalRecord record;
   record.type = WalRecordType::kCharge;
@@ -580,31 +576,9 @@ ServiceReport QueryService::Submit(const std::vector<QueryPair>& queries) {
       store_.MaterializeAuthorized(pool_);
     }
 
-    // Phase 3 — answer every admitted query. The planner path groups by
-    // shared endpoint and reuses per-source state; the per-query path is
-    // the reference both for benchmarking and for submissions too small
-    // to plan. Either way the answers are byte-identical.
-    if (options_.enable_planner && queries.size() >= kMinQueriesToPlan) {
-      ExecutePlanned(plan, report);
-    } else {
-      const obs::TraceSpan execute_span(h_execute_, "execute");
-      pool_.ParallelFor(plan.size(), [&](size_t begin, size_t end) {
-        obs::SampledRecorder sampler(h_post_process_);
-        for (size_t i = begin; i < end; ++i) {
-          ServiceAnswer& answer = report.answers[i];
-          answer.query = plan[i].query;
-          if (!plan[i].admitted) {
-            answer.rejected = true;
-            answer.reason = plan[i].reason;
-            continue;
-          }
-          const bool sampled = sampler.ShouldSample();
-          const uint64_t t0 = sampled ? obs::NowNanos() : 0;
-          answer.estimate = Answer(plan[i]);
-          if (sampled) sampler.Record(obs::NowNanos() - t0);
-        }
-      });
-    }
+    // Phase 3 — answer every admitted query: the planner groups them by
+    // shared endpoint and each group runs with per-source reused state.
+    ExecutePlanned(plan, report);
   } catch (const std::exception& e) {
     // Past the seal there is no rollback: views may be half
     // materialized, answers half computed. The durable state is fine —
@@ -884,27 +858,6 @@ RejectReason QueryService::Admit(const QueryPair& query) {
     if (journal) persist_->wal->Append(MakeCharge(w, plan_.epsilon2));
   }
   return RejectReason::kNone;
-}
-
-double QueryService::Answer(const PlannedQuery& planned) const {
-  const QueryPair& query = planned.query;
-  const LayeredVertex u{query.layer, query.u};
-  const LayeredVertex w{query.layer, query.w};
-
-  ReleasedInputs inputs;
-  if (plan_.UsesNoisyViewU()) inputs.view_u = &store_.View(u);
-  inputs.view_w = &store_.View(w);
-  if (plan_.LaplaceFromU()) inputs.neighbors_u = graph_.Neighbors(u);
-  if (plan_.LaplaceFromW()) inputs.neighbors_w = graph_.Neighbors(w);
-  inputs.opposite_size = graph_.NumVertices(Opposite(query.layer));
-
-  if (plan_.NumLaplaceReleases() == 0) {
-    // Naive/OneR draw no per-query noise; skip the substream fork.
-    Rng unused(0);
-    return PostProcess(plan_, debias_, inputs, unused);
-  }
-  Rng rng = noise_root_.Fork(planned.noise_stream);
-  return PostProcess(plan_, debias_, inputs, rng);
 }
 
 }  // namespace cne

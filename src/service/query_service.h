@@ -116,12 +116,6 @@ struct ServiceOptions {
   /// across runs and thread counts.
   uint64_t seed = 7;
 
-  /// Execute submissions through the WorkloadPlanner: admitted queries are
-  /// grouped by shared endpoint and each group runs with per-source reused
-  /// state (service/workload_planner.h). Answers are byte-identical to the
-  /// per-query path; disable only to measure the planner's benefit.
-  bool enable_planner = true;
-
   /// Directory for crash-safe persistence (snapshot + budget write-ahead
   /// log, store/). Empty disables persistence. When set, the service
   /// recovers any existing state at construction (snapshot load + WAL
@@ -194,8 +188,8 @@ struct ServiceReport {
   /// degraded service answered read-only queries with no journal at all.
   bool sealed = true;
 
-  // Planner accounting for this submission (zero when the planner was
-  // disabled or nothing was admitted).
+  // Planner accounting for this submission (zero when nothing was
+  // admitted).
   uint64_t groups_formed = 0;
   double avg_group_size = 0.0;
   double planner_seconds = 0.0;  ///< plan construction only, not execution
@@ -241,9 +235,11 @@ class QueryService {
   ~QueryService();
 
   /// Answers `queries` (any mix of layers) and returns answers in input
-  /// order. Deterministic: depends only on the graph, options, and the
-  /// submission history — never on num_threads, scheduling, or whether the
-  /// planner is enabled.
+  /// order. Admitted queries execute through the WorkloadPlanner: grouped
+  /// by shared endpoint, each group with per-source reused state
+  /// (service/workload_planner.h). Deterministic: depends only on the
+  /// graph, options, and the submission history — never on num_threads or
+  /// scheduling.
   ServiceReport Submit(const std::vector<QueryPair>& queries);
 
   /// Raises the lifetime budget every vertex may spend (see
@@ -327,13 +323,8 @@ class QueryService {
   /// The service configuration as a snapshot config section.
   SnapshotConfig CurrentConfig() const;
 
-  /// Post-processing / release phase for one admitted query — the
-  /// per-query driver over the shared pipeline's PostProcess.
-  double Answer(const PlannedQuery& planned) const;
-
-  /// Planner path of phase 3: groups the admitted queries by shared
-  /// endpoint and executes each group with per-source reused state.
-  /// Byte-identical to the per-query path.
+  /// Phase 3: groups the admitted queries by shared endpoint and executes
+  /// each group with per-source reused state.
   void ExecutePlanned(const std::vector<PlannedQuery>& plan,
                       ServiceReport& report);
 

@@ -304,7 +304,7 @@ void GroupExecutor::ExecuteRun(const QueryGroup& group,
       // counts_[i] pairs the source's neighbors with the candidate's
       // view; reverse_counts_[i] the other way around. Map them onto the
       // protocol's (u, w) roles and draw f_u's noise before f_w's,
-      // exactly as the per-query path does.
+      // exactly as core PostProcess does.
       ForEachSampled(
           items.size(),
           [&](size_t i) {

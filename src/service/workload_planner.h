@@ -13,11 +13,11 @@
 //   * all candidates stream past the source row in one
 //     BatchIntersectionSize pass (graph/set_ops.h).
 //
-// Answers are byte-identical to the per-query path: intersection counts
-// are exact integers from the same kernels, the arithmetic runs through
-// the same core/protocol_pipeline.h helpers, and each query's Laplace
-// noise comes from its own admission-assigned substream — execution order
-// never touches the noise.
+// Answers are byte-identical to core PostProcess run query by query over
+// the same views: intersection counts are exact integers from the same
+// kernels, the arithmetic runs through the same core/protocol_pipeline.h
+// helpers, and each query's Laplace noise comes from its own
+// admission-assigned substream — execution order never touches the noise.
 
 #ifndef CNE_SERVICE_WORKLOAD_PLANNER_H_
 #define CNE_SERVICE_WORKLOAD_PLANNER_H_

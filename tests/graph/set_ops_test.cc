@@ -7,7 +7,7 @@
 #include "graph/set_ops.h"
 
 #include <algorithm>
-#include <string>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +30,13 @@ DenseBitset ToBitset(const std::vector<VertexId>& sorted, VertexId domain) {
   DenseBitset bits(domain);
   for (VertexId v : sorted) bits.Set(v);
   return bits;
+}
+
+// The ids 0..n-1: a sorted set of exactly n members.
+std::vector<VertexId> Iota(uint64_t n) {
+  std::vector<VertexId> ids(n);
+  std::iota(ids.begin(), ids.end(), VertexId{0});
+  return ids;
 }
 
 uint64_t ReferenceIntersection(const std::vector<VertexId>& a,
@@ -218,6 +225,16 @@ TEST(SetOpsUnionTest, PicksTheExpectedKernel) {
   EXPECT_STREQ(DispatchedUnionKernelName(s, s), "scalar_merge");
   EXPECT_STREQ(DispatchedUnionKernelName(s, b), "probe_complement");
   EXPECT_STREQ(DispatchedUnionKernelName(b, b), "bitmap_or");
+  // Sorted pairs share the intersection dispatcher's kGallopRatio edge.
+  const std::vector<VertexId> needles = Iota(100);
+  const std::vector<VertexId> below = Iota(kGallopRatio * 101 - 1);
+  const std::vector<VertexId> at = Iota(kGallopRatio * 101);
+  EXPECT_STREQ(DispatchedUnionKernelName(SetView::Sorted(needles),
+                                         SetView::Sorted(below)),
+               "scalar_merge");
+  EXPECT_STREQ(DispatchedUnionKernelName(SetView::Sorted(at),
+                                         SetView::Sorted(needles)),
+               "gallop_complement");
 }
 
 TEST(BatchIntersectionTest, MatchesPerPairDispatcherAcrossRepresentations) {
@@ -264,32 +281,33 @@ TEST(SetOpsDispatchTest, PicksTheExpectedKernel) {
   for (VertexId v = 0; v < 400; ++v) large[v] = v;
   DenseBitset sparse_bits(400);
   sparse_bits.Set(1);
-  // A genuinely dense pair: every bit over a multi-thousand-word domain,
-  // so the skip-zero probe has no zero words to skip and the calibrated
-  // chooser must price the straight vector AND cheaper.
-  constexpr VertexId kDenseDomain = 1 << 18;
-  DenseBitset dense_bits(kDenseDomain);
-  for (VertexId v = 0; v < kDenseDomain; ++v) dense_bits.Set(v);
+  DenseBitset dense_bits(400);
+  for (VertexId v = 0; v < 400; ++v) dense_bits.Set(v);
 
   const SetView s = SetView::Sorted(small);
   const SetView l = SetView::Sorted(large);
   const SetView sparse = SetView::Bitmap(sparse_bits, 1);
-  const SetView dense = SetView::Bitmap(dense_bits, kDenseDomain);
+  const SetView dense = SetView::Bitmap(dense_bits, 400);
   EXPECT_STREQ(DispatchedKernelName(s, l), "galloping");
   EXPECT_STREQ(DispatchedKernelName(l, l), "scalar_merge");
-  // Tiny equal-size sets cost a few ns under either sorted kernel; the
-  // calibrated tables may price them either way, but the choice must
-  // stay inside the sorted pair.
-  const std::string tiny = DispatchedKernelName(s, s);
-  EXPECT_TRUE(tiny == "scalar_merge" || tiny == "galloping") << tiny;
+  EXPECT_STREQ(DispatchedKernelName(s, s), "scalar_merge");
   EXPECT_STREQ(DispatchedKernelName(s, sparse), "probe_bitmap");
   EXPECT_STREQ(DispatchedKernelName(dense, dense), "bitmap_and");
-  // Sparse × dense bitmaps sit on the calibrated bitmap_and/bitmap_probe
-  // boundary — which side wins is the cost table's call, not a contract —
-  // but the choice must stay inside the bitmap pair.
-  const std::string sparse_dense = DispatchedKernelName(sparse, dense);
-  EXPECT_TRUE(sparse_dense == "bitmap_and" || sparse_dense == "bitmap_probe")
-      << sparse_dense;
+  EXPECT_STREQ(DispatchedKernelName(sparse, dense), "bitmap_and");
+  EXPECT_STREQ(DispatchedKernelName(dense, sparse), "bitmap_and");
+
+  // The sorted pair's edge: large/(small+1) one below kGallopRatio
+  // merges, exactly kGallopRatio gallops, in either argument order.
+  const std::vector<VertexId> needles = Iota(100);
+  const std::vector<VertexId> below = Iota(kGallopRatio * 101 - 1);
+  const std::vector<VertexId> at = Iota(kGallopRatio * 101);
+  const SetView n = SetView::Sorted(needles);
+  EXPECT_STREQ(DispatchedKernelName(n, SetView::Sorted(below)),
+               "scalar_merge");
+  EXPECT_STREQ(DispatchedKernelName(SetView::Sorted(below), n),
+               "scalar_merge");
+  EXPECT_STREQ(DispatchedKernelName(n, SetView::Sorted(at)), "galloping");
+  EXPECT_STREQ(DispatchedKernelName(SetView::Sorted(at), n), "galloping");
 }
 
 }  // namespace

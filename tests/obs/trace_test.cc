@@ -139,39 +139,6 @@ TEST(TraceSpanTest, ExceptionUnwindDoesNotLeakNestingAcrossSubmits) {
   EXPECT_GE(child_snap.QuantileNanos(1.0), 8e6);
 }
 
-TEST(SampledRecorderTest, DisabledRecorderNeverSamples) {
-  SampledRecorder recorder(nullptr);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(recorder.ShouldSample());
-  }
-  recorder.Record(123);  // must be a no-op, not a crash
-}
-
-TEST(SampledRecorderTest, SamplesDeterministicallyOneInEight) {
-  LatencyHistogram histogram;
-  SampledRecorder recorder(&histogram);
-  int sampled = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (recorder.ShouldSample()) {
-      ++sampled;
-      EXPECT_EQ(i % 8, 0) << "sample at tick " << i;
-      recorder.Record(100);
-    }
-  }
-  EXPECT_EQ(sampled, 8);
-  EXPECT_EQ(histogram.Snapshot().count, 8u);
-}
-
-TEST(SampledRecorderTest, ShiftZeroSamplesEveryCall) {
-  LatencyHistogram histogram;
-  SampledRecorder recorder(&histogram, /*shift=*/0);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(recorder.ShouldSample());
-    recorder.Record(1);
-  }
-  EXPECT_EQ(histogram.Snapshot().count, 10u);
-}
-
 TEST(NowNanosTest, IsMonotonic) {
   const uint64_t a = NowNanos();
   const uint64_t b = NowNanos();

@@ -133,6 +133,41 @@ TEST(QueryServiceTest, VertexIsNeverReleasedTwiceUnderOneBudget) {
   }
 }
 
+TEST(QueryServiceTest, StarSubmissionReleasesEachVertexOnce) {
+  // Pairs (0, 1) .. (0, 8): the hub joins every pair. 16 lookups release
+  // 9 views — the hub plus 8 partners — and the hub's 7 repeats hit.
+  const BipartiteGraph g = TestGraph();
+  std::vector<QueryPair> star;
+  for (VertexId w = 1; w <= 8; ++w) star.push_back({Layer::kLower, 0, w});
+  const ServiceReport report = RunOnce(g, ServiceAlgorithm::kOneR, 1, star);
+  EXPECT_EQ(report.answered, 8u);
+  EXPECT_EQ(report.store.lookups, 16u);
+  EXPECT_EQ(report.store.releases, 9u);
+  EXPECT_EQ(report.store.cache_hits, 7u);
+  EXPECT_GT(report.store.uploaded_edges, 0u);
+}
+
+TEST(QueryServiceTest, UploadGrowsWithDistinctVerticesNotQueries) {
+  // All 15 pairs over vertices 0..5 and the 5-pair chain over the same
+  // vertices release the same 6 views: each view comes from its own
+  // vertex's substream, so even the uploaded edge counts match.
+  const BipartiteGraph g = PlantedCommonNeighbors(3, 5, 2, 500, 20);
+  std::vector<QueryPair> chain, all_pairs;
+  for (VertexId u = 0; u < 6; ++u) {
+    for (VertexId w = u + 1; w < 6; ++w) {
+      all_pairs.push_back({Layer::kLower, u, w});
+      if (w == u + 1) chain.push_back({Layer::kLower, u, w});
+    }
+  }
+  const ServiceReport few = RunOnce(g, ServiceAlgorithm::kOneR, 1, chain);
+  const ServiceReport many =
+      RunOnce(g, ServiceAlgorithm::kOneR, 1, all_pairs);
+  EXPECT_EQ(few.store.releases, 6u);
+  EXPECT_EQ(many.store.releases, 6u);
+  EXPECT_EQ(few.store.uploaded_edges, many.store.uploaded_edges);
+  EXPECT_GT(many.answered, few.answered);
+}
+
 TEST(QueryServiceTest, OverBudgetQueriesAreRejectedDeterministically) {
   // MultiR-SS at ε = 2, split 1 + 1, lifetime budget 2: a vertex can
   // afford two Laplace sourcings if it is never RR-released, one if it

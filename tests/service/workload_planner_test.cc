@@ -1,7 +1,8 @@
 // The planner's two contracts: grouping is deterministic and shaped by
-// endpoint sharing, and planned execution is byte-identical to the
-// per-query path — for every algorithm, any thread count, and workloads
-// that exercise duplicates, self-pairs, mixed roles, and rejections.
+// endpoint sharing, and planned execution is byte-identical to core
+// PostProcess run query by query — for every algorithm, any thread count,
+// and workloads that exercise duplicates, self-pairs, mixed roles, and
+// rejections.
 
 #include "service/workload_planner.h"
 
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/protocol_pipeline.h"
 #include "graph/generators.h"
 #include "service/query_service.h"
 #include "service/workload.h"
@@ -109,7 +111,33 @@ TEST(PlanWorkloadTest, ScratchResetsBetweenSubmissions) {
   EXPECT_EQ(second.groups[0].num_source_as_u, 0u);
 }
 
-// --- The acceptance property: planner on ≡ planner off, bit for bit. ---
+// --- The acceptance property: planned ≡ per-query PostProcess, bit for bit.
+
+// Test-local oracle: core PostProcess over the service's released views,
+// one query at a time. Admission hands a fresh service's i-th submitted
+// query the Laplace substream i of Rng(seed).Fork(1); Naive and OneR
+// draw no noise, so the stream only matters for the MultiR family.
+double OracleAnswer(const BipartiteGraph& g, const QueryService& service,
+                    const QueryPair& q, uint64_t stream) {
+  const ServiceOptions& options = service.options();
+  const ProtocolPlan plan = MakeProtocolPlan(
+      options.algorithm, options.epsilon, options.epsilon1_fraction);
+  const DebiasConstants debias = MakeDebiasConstantsForEpsilon(plan.epsilon1);
+  const LayeredVertex u{q.layer, q.u};
+  const LayeredVertex w{q.layer, q.w};
+  ReleasedInputs inputs;
+  if (plan.UsesNoisyViewU()) inputs.view_u = &service.store().View(u);
+  inputs.view_w = &service.store().View(w);
+  if (plan.LaplaceFromU()) inputs.neighbors_u = g.Neighbors(u);
+  if (plan.LaplaceFromW()) inputs.neighbors_w = g.Neighbors(w);
+  inputs.opposite_size = g.NumVertices(Opposite(q.layer));
+  Rng rng = Rng(options.seed).Fork(1).Fork(stream);
+  return PostProcess(plan, debias, inputs, rng);
+}
+
+constexpr ServiceAlgorithm kAllAlgorithms[] = {
+    ServiceAlgorithm::kNaive, ServiceAlgorithm::kOneR,
+    ServiceAlgorithm::kMultiRSS, ServiceAlgorithm::kMultiRDS};
 
 std::vector<QueryPair> AdversarialWorkload(const BipartiteGraph& g) {
   // Hot-set reuse plus duplicates, both orientations, and self-pairs;
@@ -125,47 +153,66 @@ std::vector<QueryPair> AdversarialWorkload(const BipartiteGraph& g) {
   return queries;
 }
 
-TEST(PlannedExecutionTest, ByteIdenticalToPerQueryPathForAllAlgorithms) {
+TEST(PlannedExecutionTest, ByteIdenticalToPostProcessOracleForAllAlgorithms) {
   const BipartiteGraph g = TestGraph();
   const std::vector<QueryPair> workload = AdversarialWorkload(g);
-  for (ServiceAlgorithm algorithm :
-       {ServiceAlgorithm::kNaive, ServiceAlgorithm::kOneR,
-        ServiceAlgorithm::kMultiRSS, ServiceAlgorithm::kMultiRDS}) {
+  for (ServiceAlgorithm algorithm : kAllAlgorithms) {
     ServiceOptions base;
     base.algorithm = algorithm;
     base.epsilon = 2.0;
     base.lifetime_budget = 6.0;
     base.seed = 31;
 
-    ServiceOptions unplanned = base;
-    unplanned.enable_planner = false;
-    unplanned.num_threads = 1;
-    QueryService reference(g, unplanned);
-    const ServiceReport expected = reference.Submit(workload);
-    EXPECT_EQ(expected.groups_formed, 0u);
-
+    std::vector<bool> sequential_rejected;
     for (int threads : {1, 2, 8}) {
-      ServiceOptions planned = base;
-      planned.enable_planner = true;
-      planned.num_threads = threads;
-      QueryService service(g, planned);
+      ServiceOptions options = base;
+      options.num_threads = threads;
+      QueryService service(g, options);
       const ServiceReport report = service.Submit(workload);
-      ASSERT_EQ(report.answers.size(), expected.answers.size());
-      for (size_t i = 0; i < expected.answers.size(); ++i) {
-        EXPECT_EQ(report.answers[i].rejected, expected.answers[i].rejected)
-            << ToString(algorithm) << " query " << i << " threads "
-            << threads;
+      ASSERT_EQ(report.answers.size(), workload.size());
+      std::vector<bool> rejected;
+      for (size_t i = 0; i < workload.size(); ++i) {
+        const ServiceAnswer& answer = report.answers[i];
+        rejected.push_back(answer.rejected);
+        if (answer.rejected) continue;
         // Bitwise equality: counts are exact and the noise substreams are
         // assigned at admission, so execution shape cannot leak in.
-        EXPECT_EQ(report.answers[i].estimate, expected.answers[i].estimate)
+        EXPECT_EQ(answer.estimate, OracleAnswer(g, service, workload[i], i))
             << ToString(algorithm) << " query " << i << " threads "
             << threads;
       }
-      EXPECT_EQ(report.answered, expected.answered);
-      EXPECT_EQ(report.rejected, expected.rejected);
+      // Admission runs in submission order on one thread, so the
+      // rejection pattern cannot depend on the pool size either.
+      if (threads == 1) {
+        sequential_rejected = rejected;
+      } else {
+        EXPECT_EQ(rejected, sequential_rejected)
+            << ToString(algorithm) << " threads " << threads;
+      }
+      EXPECT_EQ(report.answered + report.rejected, workload.size());
+      EXPECT_GT(report.answered, 0u) << ToString(algorithm);
       EXPECT_GT(report.groups_formed, 0u);
       EXPECT_GE(report.avg_group_size, 1.0);
     }
+  }
+}
+
+TEST(PlannedExecutionTest, OneQuerySubmitRunsThroughThePlanner) {
+  const BipartiteGraph g = TestGraph();
+  const QueryPair query{Layer::kLower, 0, 1};
+  for (ServiceAlgorithm algorithm : kAllAlgorithms) {
+    ServiceOptions options;
+    options.algorithm = algorithm;
+    options.epsilon = 2.0;
+    options.seed = 17;
+    QueryService service(g, options);
+    const ServiceReport report = service.Submit({query});
+    ASSERT_EQ(report.answers.size(), 1u);
+    ASSERT_FALSE(report.answers[0].rejected) << ToString(algorithm);
+    EXPECT_EQ(report.groups_formed, 1u) << ToString(algorithm);
+    EXPECT_DOUBLE_EQ(report.avg_group_size, 1.0);
+    EXPECT_EQ(report.answers[0].estimate, OracleAnswer(g, service, query, 0))
+        << ToString(algorithm);
   }
 }
 
